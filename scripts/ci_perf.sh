@@ -21,7 +21,7 @@
 #   PROFILE     smoke | full                 (default smoke)
 #   REPEATS     runs per bench               (default 3)
 #   THRESHOLD   fractional slowdown gate     (default 0.10)
-#   OUT         consolidated report path     (default BENCH_PR10.tmp.json,
+#   OUT         consolidated report path     (default BENCH_PR13.tmp.json,
 #               gitignored so CI runs never dirty the tree)
 #   GATE_ARGS   extra benchgate.py args (e.g. --update-baseline)
 #   PROF_OFF_CHECK  1 to run the prof-off nm check (default 1)
@@ -33,7 +33,7 @@ BUILD_DIR="${BUILD_DIR:-build-perf}"
 PROFILE="${PROFILE:-smoke}"
 REPEATS="${REPEATS:-3}"
 THRESHOLD="${THRESHOLD:-0.10}"
-OUT="${OUT:-BENCH_PR10.tmp.json}"
+OUT="${OUT:-BENCH_PR13.tmp.json}"
 PROF_OFF_CHECK="${PROF_OFF_CHECK:-1}"
 
 echo "=== ci_perf: building benches (${BUILD_DIR}) ==="

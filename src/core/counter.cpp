@@ -215,7 +215,8 @@ CountResult MultiQueryCounter::countPass(
         if (p.bin >= d) shoulders.push_back(avg[p.bin - d]);
         if (p.bin + d < avg.size()) shoulders.push_back(avg[p.bin + d]);
       }
-      if (p.magnitude > config_.shapeFactor * dsp::median(shoulders))
+      if (p.magnitude >
+          config_.shapeFactor * dsp::median(std::span(shoulders)))
         kept.push_back(p);
     }
     peaks = std::move(kept);
@@ -252,7 +253,7 @@ CountResult MultiQueryCounter::countPass(
   const double spikeScale =
       stableMags.empty()
           ? (peaks.empty() ? 0.0 : peaks.front().magnitude)
-          : dsp::median(stableMags);
+          : dsp::median(std::span(stableMags));
 
   CountResult final;
   final.spikes = 0;

@@ -5,11 +5,9 @@
 namespace caraoke::core {
 
 void ReaderConfig::harmonize() {
-  counter.analysis.sampling = sampling;
-  counter.analysis.peaks.searchEnd = sampling.cfoBins() + 2;
+  counter.analysis.setSampling(sampling);
   decoder.sampling = sampling;
-  analysis.sampling = sampling;
-  analysis.peaks.searchEnd = sampling.cfoBins() + 2;
+  analysis.setSampling(sampling);
 }
 
 CaraokeReader::CaraokeReader(ReaderConfig config)

@@ -10,15 +10,19 @@
 namespace caraoke::core {
 
 SpectrumAnalysisConfig::SpectrumAnalysisConfig() {
-  // Restrict the search to the CFO span: [0, 1.2 MHz] maps to bins
-  // [0, cfoBins] at the default 4 MHz / 2048-point configuration.
-  peaks.searchBegin = 1;
-  peaks.searchEnd = sampling.cfoBins() + 2;
+  setSampling(sampling);
   // The Hann main lobe is 4 bins wide; spikes closer than that are
   // unresolvable here and fall to the §5 multi-occupancy test.
   peaks.minSeparationBins = 4;
   peaks.cfarGuardBins = 4;
-  peaks.thresholdMads = 10.0;
+}
+
+void SpectrumAnalysisConfig::setSampling(const phy::SamplingParams& params) {
+  sampling = params;
+  // The CFO span [0, 1.2 MHz] maps to bins [0, cfoBins], [0, 614] at the
+  // default 4 MHz / 2048-point setup; a carrier at the LO lands in bin 0.
+  peaks.searchBegin = 0;
+  peaks.searchEnd = sampling.cfoBins() + 1;
 }
 
 SpectrumAnalyzer::SpectrumAnalyzer(SpectrumAnalysisConfig config)
@@ -94,7 +98,6 @@ std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikes(
   return rejectImages(dsp::findPeaks(mag, config_.peaks), config_);
 }
 
-
 std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikesSparse(
     dsp::CSpan samples, Rng& rng) const {
   const auto components = dsp::sparseFft(samples, config_.sparse, rng);
@@ -106,26 +109,6 @@ std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikesSparse(
     peaks.push_back({c.bin, std::abs(c.value)});
   }
   return rejectImages(std::move(peaks), config_);
-}
-
-std::vector<TransponderObservation> SpectrumAnalyzer::analyzeSparse(
-    const std::vector<dsp::CVec>& antennaSamples, Rng& rng) const {
-  if (antennaSamples.empty())
-    throw std::invalid_argument("analyzeSparse: no antennas");
-  const auto peaks = detectSpikesSparse(antennaSamples.front(), rng);
-  const dsp::BinMapper mapper = binMapper();
-  std::vector<TransponderObservation> observations;
-  for (const dsp::Peak& p : peaks) {
-    TransponderObservation obs;
-    obs.bin = p.bin;
-    obs.peakMagnitude = p.magnitude;
-    obs.fractionalBin = static_cast<double>(p.bin);
-    obs.cfoHz = obs.fractionalBin * mapper.binWidthHz();
-    for (const dsp::CVec& buf : antennaSamples)
-      obs.channels.push_back(channelAt(buf, obs.fractionalBin));
-    observations.push_back(std::move(obs));
-  }
-  return observations;
 }
 
 std::vector<TransponderObservation> SpectrumAnalyzer::analyze(

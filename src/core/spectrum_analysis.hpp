@@ -52,12 +52,16 @@ struct SpectrumAnalysisConfig {
   double imageRatio = 0.35;
   std::size_t imageToleranceBins = 4;
 
-  /// Sparse-FFT detection parameters (used by detectSpikesSparse /
-  /// analyzeSparse only). The bucket threshold doubles as the detection
-  /// threshold, so weak spikes need more buckets/rounds.
+  /// Sparse-FFT detection parameters (used by detectSpikesSparse only).
+  /// The bucket threshold doubles as the detection threshold, so weak
+  /// spikes need more buckets/rounds.
   dsp::SparseFftConfig sparse{};
 
   SpectrumAnalysisConfig();
+
+  /// Set the sampling parameters and point the peak search at their CFO
+  /// span, bins [0, cfoBins].
+  void setSampling(const phy::SamplingParams& params);
 };
 
 /// Extracts transponder observations from one capture.
@@ -90,11 +94,6 @@ class SpectrumAnalyzer {
   /// images rejected. The Rng drives the sFFT's random strides.
   std::vector<dsp::Peak> detectSpikesSparse(dsp::CSpan samples,
                                             Rng& rng) const;
-
-  /// Full observation extraction using sparse detection (channels are
-  /// still Goertzel probes, which are O(n) per spike).
-  std::vector<TransponderObservation> analyzeSparse(
-      const std::vector<dsp::CVec>& antennaSamples, Rng& rng) const;
 
   const SpectrumAnalysisConfig& config() const { return config_; }
 

@@ -117,11 +117,6 @@ void fftInPlace(CVec& data) {
   fftCallCounter().inc();
   radix2(data, false);
 }
-void ifftInPlace(CVec& data) {
-  CARAOKE_PROF_SCOPE(obs::prof::stage::kFft);
-  ifftCallCounter().inc();
-  radix2(data, true);
-}
 
 CVec fft(CSpan input) {
   if (input.empty()) return {};
@@ -168,13 +163,6 @@ std::vector<double> magnitude(CSpan spectrum) {
   std::vector<double> out(spectrum.size());
   for (std::size_t i = 0; i < spectrum.size(); ++i)
     out[i] = std::abs(spectrum[i]);
-  return out;
-}
-
-std::vector<double> power(CSpan spectrum) {
-  std::vector<double> out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i)
-    out[i] = std::norm(spectrum[i]);
   return out;
 }
 

@@ -19,9 +19,6 @@ bool isPowerOfTwo(std::size_t n);
 /// In-place forward FFT. Requires data.size() to be a power of two.
 void fftInPlace(CVec& data);
 
-/// In-place inverse FFT (includes the 1/N scaling). Power-of-two only.
-void ifftInPlace(CVec& data);
-
 /// Forward FFT of arbitrary length. Power-of-two inputs use radix-2;
 /// other lengths use Bluestein's chirp-z algorithm.
 CVec fft(CSpan input);
@@ -35,8 +32,5 @@ CVec dftReference(CSpan input);
 
 /// Magnitudes of a complex spectrum.
 std::vector<double> magnitude(CSpan spectrum);
-
-/// Squared magnitudes (power) of a complex spectrum.
-std::vector<double> power(CSpan spectrum);
 
 }  // namespace caraoke::dsp

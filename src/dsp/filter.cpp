@@ -49,27 +49,6 @@ CVec firFilter(CSpan signal, std::span<const double> taps) {
   return out;
 }
 
-std::vector<double> movingAverage(std::span<const double> v, std::size_t w) {
-  if (w == 0) throw std::invalid_argument("movingAverage: zero window");
-  std::vector<double> out(v.size(), 0.0);
-  double acc = 0.0;
-  std::size_t count = 0;
-  // Centered window with shrinking edges.
-  const std::size_t half = w / 2;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const std::size_t lo = i > half ? i - half : 0;
-    const std::size_t hi = std::min(i + half, v.size() - 1);
-    acc = 0.0;
-    count = 0;
-    for (std::size_t k = lo; k <= hi; ++k) {
-      acc += v[k];
-      ++count;
-    }
-    out[i] = acc / static_cast<double>(count);
-  }
-  return out;
-}
-
 cdouble goertzel(CSpan signal, double fractionalBin) {
   // Goertzel second-order recurrence: one real coefficient per bin, ~3
   // multiply-adds per sample instead of a sincos — this sits on the hot

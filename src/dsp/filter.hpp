@@ -16,10 +16,6 @@ std::vector<double> designLowPass(double cutoff, std::size_t taps);
 /// output length, group delay compensated for symmetric filters).
 CVec firFilter(CSpan signal, std::span<const double> taps);
 
-/// Length-w moving average of a real sequence ("same" length, edges use
-/// the available samples).
-std::vector<double> movingAverage(std::span<const double> v, std::size_t w);
-
 /// Goertzel evaluation of a single DFT coefficient at a possibly
 /// non-integer bin: X(f) = sum_n x[n] e^{-j 2 pi f n / N}. Used to probe
 /// a transponder's exact CFO without a full FFT.

@@ -9,81 +9,35 @@
 
 namespace caraoke::dsp {
 
-namespace {
-
-// Search range [begin, end) clamped to the spectrum and excluding the
-// outermost bins (local-maximum tests need both neighbors).
-std::pair<std::size_t, std::size_t> searchRange(
-    std::size_t size, const PeakDetectorConfig& config) {
-  const std::size_t begin = std::max<std::size_t>(config.searchBegin, 1);
-  const std::size_t end =
-      std::min(config.searchEnd == 0 ? size : config.searchEnd, size);
-  return {begin, end > 0 ? end - 1 : 0};
-}
-
-}  // namespace
-
-double adaptiveThreshold(std::span<const double> mag,
-                         const PeakDetectorConfig& config) {
-  if (mag.empty()) return config.absoluteFloor;
-  const auto [begin, end] = searchRange(mag.size(), config);
-  const std::span<const double> window =
-      begin < end ? mag.subspan(begin, end - begin) : mag;
-  const double med = median(window);
-  const double mad = medianAbsDeviation(window);
-  // 1.4826 converts MAD to a Gaussian-equivalent sigma.
-  const double t = med + config.thresholdMads * 1.4826 * mad;
-  return std::max(t, config.absoluteFloor);
-}
-
-std::vector<double> cfarThreshold(std::span<const double> mag,
-                                  const PeakDetectorConfig& config) {
-  const std::size_t n = mag.size();
-  std::vector<double> threshold(n, config.absoluteFloor);
-  std::vector<double> training;
-  for (std::size_t i = 0; i < n; ++i) {
-    training.clear();
-    const std::size_t guard = config.cfarGuardBins;
-    const std::size_t window = config.cfarWindowBins;
-    // Left training cells.
-    for (std::size_t k = guard + 1; k <= guard + window; ++k) {
-      if (k > i) break;
-      training.push_back(mag[i - k]);
-    }
-    // Right training cells.
-    for (std::size_t k = guard + 1; k <= guard + window; ++k) {
-      if (i + k >= n) break;
-      training.push_back(mag[i + k]);
-    }
-    if (training.empty()) continue;
-    threshold[i] = std::max(config.cfarFactor * median(training),
-                            config.absoluteFloor);
-  }
-  return threshold;
-}
-
 std::vector<Peak> findPeaks(std::span<const double> mag,
                             const PeakDetectorConfig& config) {
   CARAOKE_PROF_SCOPE(obs::prof::stage::kPeak);
   std::vector<Peak> peaks;
-  if (mag.size() < 3) return peaks;
+  const std::size_t n = mag.size();
+  if (n < 3) return peaks;
 
-  const auto [begin, end] = searchRange(mag.size(), config);
-
-  std::vector<double> cfar;
-  double global = 0.0;
-  if (config.mode == ThresholdMode::kCfar)
-    cfar = cfarThreshold(mag, config);
-  else
-    global = adaptiveThreshold(mag, config);
-
-  for (std::size_t i = begin; i < end; ++i) {
-    const double threshold =
-        config.mode == ThresholdMode::kCfar ? cfar[i] : global;
+  const std::size_t end =
+      std::min(config.searchEnd == 0 ? n : config.searchEnd, n);
+  const std::size_t nearest = config.cfarGuardBins + 1;
+  const std::size_t farthest = config.cfarGuardBins + config.cfarWindowBins;
+  std::vector<double> training;
+  training.reserve(2 * config.cfarWindowBins);
+  for (std::size_t i = config.searchBegin; i < end; ++i) {
+    // Local maximum on the circular spectrum; of a flat top only the left
+    // edge counts. Cheap, so it runs before the CFAR median.
+    const double left = mag[i == 0 ? n - 1 : i - 1];
+    const double right = mag[i + 1 == n ? 0 : i + 1];
+    if (mag[i] <= left || mag[i] < right) continue;
+    training.clear();
+    for (std::size_t k = nearest; k <= farthest && k <= i; ++k)
+      training.push_back(mag[i - k]);
+    for (std::size_t k = nearest; k <= farthest && i + k < n; ++k)
+      training.push_back(mag[i + k]);
+    double threshold = config.absoluteFloor;
+    if (!training.empty())
+      threshold = std::max(config.cfarFactor * median(std::span(training)),
+                           threshold);
     if (mag[i] < threshold) continue;
-    if (mag[i] < mag[i - 1] || mag[i] < mag[i + 1]) continue;
-    // Plateau tie-break: only accept the left edge of a flat top.
-    if (mag[i] == mag[i - 1]) continue;
     peaks.push_back({i, mag[i]});
   }
 

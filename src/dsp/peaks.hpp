@@ -1,10 +1,13 @@
 // Spectral peak detection.
 //
 // A collision's FFT shows one spike per transponder riding on a wideband
-// OOK floor (§5, Fig 4). The detector thresholds adaptively off that floor
-// (median + k * MAD, both robust to the spikes themselves), takes local
-// maxima, and enforces a minimum bin separation so one spike's shoulders are
-// not double-counted.
+// OOK floor (§5, Fig 4). The detector is an order-statistic CFAR: a bin is
+// a spike when it is a local maximum and exceeds cfarFactor times the
+// median of its training cells, which sit on both sides of the bin beyond
+// a guard region. The median is robust to the spikes themselves and
+// follows the colored OOK sidelobe floor, whose data-spectrum humps near
+// the chip rate would defeat a single global threshold. A minimum bin
+// separation keeps one spike's shoulders from being double-counted.
 #pragma once
 
 #include <cstddef>
@@ -19,54 +22,31 @@ struct Peak {
   double magnitude = 0.0; ///< |X[bin]|.
 };
 
-/// Threshold strategy.
-enum class ThresholdMode {
-  /// Global: median + k * MAD over the search window. Right for flat
-  /// noise floors.
-  kGlobalMad,
-  /// CFAR: per-bin threshold = factor * local median (window around the
-  /// bin, excluding a guard region). Right for the colored OOK sidelobe
-  /// floor of a collision, where the data spectrum humps near the chip
-  /// rate would defeat a single global threshold.
-  kCfar,
-};
-
 /// Tuning for findPeaks().
 struct PeakDetectorConfig {
-  ThresholdMode mode = ThresholdMode::kCfar;
-  /// kGlobalMad: threshold = median + thresholdMads * MAD (in sigma via
-  /// the 1.4826 Gaussian consistency factor).
-  double thresholdMads = 8.0;
-  /// kCfar: one-sided training window, one-sided guard, and the factor
-  /// over the local median a bin must exceed.
+  /// One-sided training window, one-sided guard, and the factor over the
+  /// local median a bin must exceed. Training cells that would fall off
+  /// either end of the spectrum are left out, not wrapped.
   std::size_t cfarWindowBins = 48;
   std::size_t cfarGuardBins = 3;
   double cfarFactor = 3.6;
   /// Peaks closer than this many bins are merged (strongest wins).
   std::size_t minSeparationBins = 2;
-  /// Restrict the search to [searchBegin, searchEnd) bins; end==0 means
-  /// "to the end of the spectrum". Caraoke searches only the 1.2 MHz CFO
-  /// span, not the full Nyquist range.
+  /// Search exactly the bins [searchBegin, searchEnd); end==0 means "to
+  /// the end of the spectrum". The local-maximum test treats the spectrum
+  /// as circular, so bin 0's left neighbor is the last bin. Caraoke
+  /// searches only the 1.2 MHz CFO span, whose bin 0 holds a carrier at
+  /// the reader's LO.
   std::size_t searchBegin = 0;
   std::size_t searchEnd = 0;
   /// Hard floor on the threshold; guards against an all-noise spectrum
-  /// whose MAD underestimates the floor.
+  /// whose local median underestimates the floor.
   double absoluteFloor = 0.0;
 };
 
 /// Detect peaks in a magnitude spectrum. Results are sorted by bin index.
 std::vector<Peak> findPeaks(std::span<const double> magnitudeSpectrum,
                             const PeakDetectorConfig& config = {});
-
-/// The global (kGlobalMad) threshold over the configured search window,
-/// exposed for diagnostics.
-double adaptiveThreshold(std::span<const double> magnitudeSpectrum,
-                         const PeakDetectorConfig& config = {});
-
-/// The per-bin CFAR threshold curve (factor * local median), exposed for
-/// diagnostics and tests.
-std::vector<double> cfarThreshold(std::span<const double> magnitudeSpectrum,
-                                  const PeakDetectorConfig& config = {});
 
 /// Quadratic (three-point) interpolation of the true peak position around
 /// a bin; returns the fractional bin offset in [-0.5, 0.5]. Sharpens CFO

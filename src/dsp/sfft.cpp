@@ -58,7 +58,7 @@ std::vector<SparseComponent> sparseFft(CSpan signal,
 
     std::vector<double> mags(b);
     for (std::size_t i = 0; i < b; ++i) mags[i] = std::abs(base[i]);
-    const double med = median(mags);
+    const double med = median(std::span(mags));
     // Floor against numeric dust on exactly-sparse inputs (leakage of a
     // double-precision FFT is ~1e-13 of the peak).
     const double dust = 1e-6 * maxValue(mags);  // caraoke-lint: allow(units): relative magnitude fraction, not a physical quantity
@@ -134,7 +134,8 @@ std::vector<SparseComponent> sparseFft(CSpan signal,
         0, static_cast<std::int64_t>(prefix.size()) - 1));
     floorProbes.push_back(std::abs(goertzel(prefix, bin)));
   }
-  const double floorLevel = std::max(median(floorProbes), 1e-12);
+  const double floorLevel =
+      std::max(median(std::span(floorProbes)), 1e-12);
 
   // Verification threshold: noise floor based, but never below a small
   // fraction of the strongest candidate (guards exactly-sparse signals

@@ -52,13 +52,6 @@ CVec fftShift(CSpan spectrum) {
   return out;
 }
 
-double signalPower(CSpan signal) {
-  if (signal.empty()) return 0.0;
-  double p = 0.0;
-  for (const auto& x : signal) p += std::norm(x);
-  return p / static_cast<double>(signal.size());
-}
-
 double snrDb(CSpan reference, CSpan noisy) {
   if (reference.size() != noisy.size())
     throw std::invalid_argument("snrDb: length mismatch");

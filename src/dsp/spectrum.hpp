@@ -44,9 +44,6 @@ CVec mix(CSpan signal, double freqHz, double sampleRateHz);
 /// Circularly rotate a spectrum so bin 0 is centered (like fftshift).
 CVec fftShift(CSpan spectrum);
 
-/// Signal power = mean |x|^2.
-double signalPower(CSpan signal);
-
 /// Signal-to-noise ratio in dB between a clean reference and a noisy
 /// version of it (power of reference over power of difference).
 double snrDb(CSpan reference, CSpan noisy);

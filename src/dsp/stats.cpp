@@ -22,24 +22,18 @@ double variance(std::span<const double> v) {
 
 double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
 
-double median(std::span<const double> v) {
+double median(std::span<double> v) {
   if (v.empty()) return 0.0;
-  std::vector<double> tmp(v.begin(), v.end());
-  const std::size_t mid = tmp.size() / 2;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<long>(mid), tmp.end());
-  double hi = tmp[mid];
-  if (tmp.size() % 2 == 1) return hi;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<long>(mid) - 1,
-                   tmp.begin() + static_cast<long>(mid));
-  return 0.5 * (tmp[mid - 1] + hi);
+  const auto mid = v.begin() + static_cast<long>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  if (v.size() % 2 == 1) return *mid;
+  // The lower middle is the largest element left of mid.
+  return 0.5 * (*std::max_element(v.begin(), mid) + *mid);
 }
 
-double medianAbsDeviation(std::span<const double> v) {
-  if (v.empty()) return 0.0;
-  const double m = median(v);
-  std::vector<double> dev(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) dev[i] = std::abs(v[i] - m);
-  return median(dev);
+double median(std::span<const double> v) {
+  std::vector<double> tmp(v.begin(), v.end());
+  return median(std::span(tmp));
 }
 
 double percentile(std::span<const double> v, double p) {
@@ -52,13 +46,6 @@ double percentile(std::span<const double> v, double p) {
   const std::size_t hi = std::min(lo + 1, tmp.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return tmp[lo] * (1.0 - frac) + tmp[hi] * frac;
-}
-
-double rms(std::span<const double> v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s / static_cast<double>(v.size()));
 }
 
 double maxValue(std::span<const double> v) {

@@ -17,17 +17,14 @@ double variance(std::span<const double> v);
 double stddev(std::span<const double> v);
 
 /// Median (average of middle two for even sizes); 0 for empty input.
-double median(std::span<const double> v);
+/// Reorders v in place, so scratch buffers need no copy.
+double median(std::span<double> v);
 
-/// Median absolute deviation — a robust spread estimate used for
-/// noise-floor thresholds in peak detection.
-double medianAbsDeviation(std::span<const double> v);
+/// Median of a copy of v; see median(std::span<double>).
+double median(std::span<const double> v);
 
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::span<const double> v, double p);
-
-/// Root-mean-square of a real sequence.
-double rms(std::span<const double> v);
 
 /// Maximum value; 0 for empty input.
 double maxValue(std::span<const double> v);

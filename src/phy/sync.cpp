@@ -17,7 +17,7 @@ std::optional<std::size_t> detectEnergyEdge(dsp::CSpan samples,
   std::vector<double> lead(noiseWindow);
   for (std::size_t i = 0; i < noiseWindow; ++i)
     lead[i] = std::abs(samples[i]);
-  const double floor = std::max(dsp::median(lead), 1e-12);
+  const double floor = std::max(dsp::median(std::span(lead)), 1e-12);
   const double threshold = thresholdFactor * floor;
   for (std::size_t i = noiseWindow; i < samples.size(); ++i)
     if (std::abs(samples[i]) > threshold) return i;

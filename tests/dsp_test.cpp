@@ -2,7 +2,9 @@
 // statistics, linear algebra, MUSIC, and the sparse FFT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -130,7 +132,22 @@ TEST(Stats, MedianEvenCount) {
 TEST(Stats, MadRobustToOutlier) {
   const std::vector<double> v{1, 1, 1, 1, 1, 1, 1, 100};
   EXPECT_DOUBLE_EQ(median(v), 1.0);
-  EXPECT_DOUBLE_EQ(medianAbsDeviation(v), 0.0);
+}
+
+TEST(Stats, InPlaceMedianOddCount) {
+  std::vector<double> v{9, -2, 7, 3, 3, 100, 0};
+  EXPECT_DOUBLE_EQ(median(std::span(v)), 3.0);
+  std::sort(v.begin(), v.end());  // still the same multiset
+  EXPECT_EQ(v, (std::vector<double>{-2, 0, 3, 3, 7, 9, 100}));
+}
+
+TEST(Stats, InPlaceMedianEvenCount) {
+  std::vector<double> v{8, 1, 6, 3, 5, 2};
+  EXPECT_DOUBLE_EQ(median(std::span(v)), 4.0);
+  std::vector<double> pair{2, 1};
+  EXPECT_DOUBLE_EQ(median(std::span(pair)), 1.5);
+  std::vector<double> empty;
+  EXPECT_DOUBLE_EQ(median(std::span(empty)), 0.0);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -192,6 +209,137 @@ TEST(Peaks, RespectsSearchWindow) {
   const auto peaks = findPeaks(mag, config);
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].bin, 10u);
+}
+
+TEST(Peaks, BinZeroWrapsToTheLastBin) {
+  std::vector<double> mag(512, 1.0);
+  mag[0] = 50.0;
+  EXPECT_EQ(findPeaks(mag).size(), 1u);
+  EXPECT_EQ(findPeaks(mag).front().bin, 0u);
+  // A taller last bin is bin 0's left neighbor: the peak moves there.
+  mag[511] = 60.0;
+  const auto peaks = findPeaks(mag);
+  ASSERT_EQ(peaks.size(), 1u);
+  EXPECT_EQ(peaks.front().bin, 511u);
+  PeakDetectorConfig bottom;
+  bottom.searchEnd = 300;
+  EXPECT_TRUE(findPeaks(mag, bottom).empty());
+}
+
+// The CFAR detector as first written: the median of every bin's training
+// cells over the whole spectrum, each from a fresh sorted copy, then the
+// threshold, local-maximum and merge passes over the search range.
+// findPeaks must match it exactly.
+std::vector<double> naiveLocalMedians(std::span<const double> mag,
+                                      const PeakDetectorConfig& config) {
+  const std::size_t n = mag.size();
+  std::vector<double> medians(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> training;
+    for (std::size_t k = config.cfarGuardBins + 1;
+         k <= config.cfarGuardBins + config.cfarWindowBins; ++k) {
+      if (k <= i) training.push_back(mag[i - k]);
+      if (i + k < n) training.push_back(mag[i + k]);
+    }
+    std::sort(training.begin(), training.end());
+    const std::size_t mid = training.size() / 2;
+    medians[i] = training.size() % 2 == 1
+                     ? training[mid]
+                     : 0.5 * (training[mid - 1] + training[mid]);
+  }
+  return medians;
+}
+
+std::vector<Peak> naiveCfarPeaks(std::span<const double> mag,
+                                 std::span<const double> medians,
+                                 const PeakDetectorConfig& config) {
+  const std::size_t n = mag.size();
+  std::vector<Peak> candidates;
+  const std::size_t end = config.searchEnd == 0 ? n : config.searchEnd;
+  for (std::size_t i = config.searchBegin; i < end; ++i) {
+    const double left = mag[(i + n - 1) % n];
+    const double right = mag[(i + 1) % n];
+    const double threshold =
+        std::max(config.cfarFactor * medians[i], config.absoluteFloor);
+    if (mag[i] >= threshold && mag[i] > left && mag[i] >= right)
+      candidates.push_back({i, mag[i]});
+  }
+  if (config.minSeparationBins <= 1) return candidates;
+  std::vector<Peak> byStrength = candidates;
+  std::sort(byStrength.begin(), byStrength.end(),
+            [](const Peak& a, const Peak& b) {
+              return a.magnitude > b.magnitude;
+            });
+  std::vector<Peak> kept;
+  for (const Peak& p : byStrength) {
+    bool clear = true;
+    for (const Peak& k : kept)
+      if ((p.bin > k.bin ? p.bin - k.bin : k.bin - p.bin) <
+          config.minSeparationBins)
+        clear = false;
+    if (clear) kept.push_back(p);
+  }
+  std::sort(kept.begin(), kept.end(),
+            [](const Peak& a, const Peak& b) { return a.bin < b.bin; });
+  return kept;
+}
+
+TEST(Peaks, MatchesNaiveCfarOracle) {
+  // Seeded collision spectra of m = 1..32 transponders plus receiver
+  // noise; every other one averaged over 4 queries, as the multi-query
+  // counter sees it.
+  const caraoke::core::SpectrumAnalyzer analyzer;
+  const caraoke::phy::SamplingParams sampling;
+  std::size_t compared = 0, peaksSeen = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(1000 + seed);
+    const std::size_t m = 1 + seed % 32;
+    const std::size_t queries = seed % 2 == 0 ? 1 : 4;
+    std::vector<double> cfos(m);
+    for (double& cfo : cfos) cfo = rng.uniform(0.0, 1.2e6);
+    std::vector<double> mag(sampling.responseSamples(), 0.0);
+    for (std::size_t q = 0; q < queries; ++q) {
+      CVec sum(sampling.responseSamples(), cdouble{});
+      for (double cfo : cfos) {
+        const auto bits = caraoke::phy::Packet::encode(
+            caraoke::phy::Packet::randomId(rng));
+        const auto wave =
+            caraoke::phy::modulateResponse(bits, sampling, cfo, rng.phase());
+        for (std::size_t t = 0; t < sum.size(); ++t) sum[t] += wave[t];
+      }
+      for (cdouble& x : sum)
+        x += cdouble(rng.gaussian(0, 0.05), rng.gaussian(0, 0.05));
+      const auto qmag = analyzer.magnitudeSpectrum(sum);
+      for (std::size_t i = 0; i < mag.size(); ++i)
+        mag[i] += qmag[i] / static_cast<double>(queries);
+    }
+    const auto medians = naiveLocalMedians(mag, analyzer.config().peaks);
+
+    for (double factor : {1.9, 2.4, 3.6})
+      for (std::size_t separation : {2u, 4u})
+        for (double floor : {0.0, 30.0})
+          for (std::size_t end : {sampling.cfoBins() + 1, std::size_t{0}}) {
+            PeakDetectorConfig config = analyzer.config().peaks;
+            config.cfarFactor = factor;
+            config.minSeparationBins = separation;
+            config.absoluteFloor = floor;
+            config.searchBegin = 0;
+            config.searchEnd = end;
+            const auto fast = findPeaks(mag, config);
+            const auto naive = naiveCfarPeaks(mag, medians, config);
+            ASSERT_EQ(fast.size(), naive.size())
+                << "seed " << seed << " factor " << factor << " sep "
+                << separation << " floor " << floor << " end " << end;
+            for (std::size_t i = 0; i < fast.size(); ++i) {
+              EXPECT_EQ(fast[i].bin, naive[i].bin) << "seed " << seed;
+              EXPECT_EQ(fast[i].magnitude, naive[i].magnitude);
+            }
+            ++compared;
+            peaksSeen += fast.size();
+          }
+  }
+  EXPECT_EQ(compared, 1440u);
+  EXPECT_GT(peaksSeen, 1440u);  // the grid exercises real detections
 }
 
 TEST(Peaks, QuadraticInterpolationRecoversOffset) {
@@ -425,6 +573,32 @@ TEST(Spectrum, FftShiftCentersDc) {
   EXPECT_DOUBLE_EQ(shifted[4].real(), 0.0);  // DC moved to the center
 }
 
+
+TEST(SpectrumAnalysis, FindsCarriersAtBothEndsOfTheCfoSpan) {
+  // A carrier within half a bin of the LO peaks in bin 0, whose left
+  // neighbor is the top of the spectrum; one at the top of the 1.2 MHz
+  // span peaks in the last searched bin.
+  Rng rng(22);
+  caraoke::phy::SamplingParams sampling;
+  const std::vector<double> cfos{927.0, 480e3, 1.1995e6};
+  CVec sum(sampling.responseSamples(), cdouble{});
+  for (double cfo : cfos) {
+    const auto bits = caraoke::phy::Packet::encode(
+        caraoke::phy::Packet::randomId(rng));
+    const auto wave =
+        caraoke::phy::modulateResponse(bits, sampling, cfo, rng.phase());
+    for (std::size_t t = 0; t < sum.size(); ++t) sum[t] += wave[t];
+  }
+
+  const caraoke::core::SpectrumAnalyzer analyzer;
+  const auto observations = analyzer.analyze({sum});
+  ASSERT_EQ(observations.size(), cfos.size());
+  const double binHz = sampling.fftResolutionHz();
+  EXPECT_LE(observations[0].bin, 1u);
+  EXPECT_NEAR(observations[1].cfoHz, cfos[1], binHz);
+  EXPECT_EQ(observations[2].bin, sampling.cfoBins());
+  EXPECT_NEAR(observations[2].cfoHz, cfos[2], binHz);
+}
 
 TEST(SparseFft, AnalyzerSparsePathMatchesFullFft) {
   // The §10 sparse detection path must find the same CFO spikes as the

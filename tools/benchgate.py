@@ -4,10 +4,12 @@
 Runs every bench binary N times with ``--json``, aggregates each metric
 across repeats (median / p10 / p90 / relative standard deviation),
 re-runs benches whose wall-clock RSD exceeds the noise threshold, and
-writes one consolidated report (default ``BENCH_PR9.json``) at the repo
-root.  The gate then compares wall-clock medians against the newest other
-``BENCH_*.json`` baseline and exits non-zero when any bench slowed down by
-more than ``--threshold`` (fractional, default 0.10 = 10%).  A missing or
+writes one consolidated report (default ``BENCH_local.tmp.json`` at the
+repo root, gitignored; pass ``--out BENCH_PR<n>.json`` to write a
+snapshot meant for committing).  The gate then compares wall-clock
+medians against the newest committed ``BENCH_*.json`` baseline and
+exits non-zero when any bench slowed down by more than ``--threshold``
+(fractional, default 0.10 = 10%).  A missing or
 unreadable baseline is a clear diagnostic and exit 2 — never a stack
 trace — unless ``--update-baseline`` says this run *establishes* the
 baseline.
@@ -25,7 +27,7 @@ worked example lives in EXPERIMENTS.md).
 
 Usage:
   tools/benchgate.py [--build-dir build] [--profile smoke|full]
-                     [--repeats 3] [--threshold 0.10] [--out BENCH_PR9.json]
+                     [--repeats 3] [--threshold 0.10] [--out FILE]
                      [--baseline FILE] [--filter REGEX]
                      [--counter-gate NAME[:FRAC]] [--trend]
                      [--update-baseline] [--compare-only] [--selftest]
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import statistics
@@ -48,6 +51,9 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_VERSION = 1
+# Scratch reports end in .tmp.json: gitignored, and never taken as a
+# baseline, so a bare run cannot overwrite a committed snapshot.
+DEFAULT_OUT = REPO_ROOT / "BENCH_local.tmp.json"
 
 # Per-bench manifest: binary name (under <build>/bench/), plus the argv
 # tail for the smoke and full profiles.  Google-benchmark binaries take
@@ -189,9 +195,23 @@ def find_baseline(out_path, explicit):
     ]
     if not candidates:
         return None
-    # Tie-break equal mtimes (fresh checkouts) by name, so BENCH_PR5
-    # beats BENCH_PR4 even when git stamped them identically.
-    return max(candidates, key=lambda p: (p.stat().st_mtime, p.name))
+    return max(candidates, key=baseline_rank)
+
+
+def pr_number(path):
+    """The n of BENCH_PR<n>.json, or -1 for any other name.
+
+    Snapshots are ordered by it, not by name: BENCH_PR13 is newer than
+    BENCH_PR9, which plain string order gets wrong.
+    """
+    match = re.fullmatch(r"BENCH_PR(\d+)\.json", path.name)
+    return int(match.group(1)) if match else -1
+
+
+def baseline_rank(path):
+    """Sort key for baselines: mtime, then PR number (fresh checkouts
+    stamp every file alike), then name."""
+    return (path.stat().st_mtime, pr_number(path), path.name)
 
 
 def compare(current, baseline, threshold, echo=print):
@@ -258,7 +278,8 @@ def gate_counters(current, baseline, gates, echo=print):
 def trend(echo=print):
     """Print the wall-clock + gated-counter trajectory across baselines."""
     reports = []
-    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+    for path in sorted(REPO_ROOT.glob("BENCH_*.json"),
+                       key=lambda p: (pr_number(p), p.name)):
         if path.name.endswith(".tmp.json"):
             continue
         try:
@@ -455,15 +476,41 @@ def selftest():
             "malformed --counter-gate is a usage error",
         )
 
+    # Equal mtimes (a fresh checkout): the highest PR number wins.
+    with tempfile.TemporaryDirectory() as tmp:
+        stamped = []
+        for name in ("BENCH_PR9.json", "BENCH_PR13.json", "BENCH_PR10.json"):
+            path = pathlib.Path(tmp) / name
+            path.write_text("{}")
+            os.utime(path, (1_000_000_000, 1_000_000_000))
+            stamped.append(path)
+        check(
+            max(stamped, key=baseline_rank).name == "BENCH_PR13.json",
+            "equal mtimes rank BENCH_PR13 above BENCH_PR9",
+        )
+
+    # A bare run writes a scratch report: never a committed BENCH_*.json,
+    # and never a file find_baseline() could later take as the baseline.
+    default_out = build_parser().parse_args([]).out
+    committed = {
+        p.resolve() for p in REPO_ROOT.glob("BENCH_*.json")
+        if not p.name.endswith(".tmp.json")
+    }
+    check(
+        default_out.name.endswith(".tmp.json")
+        and default_out.resolve() not in committed,
+        "default --out is a gitignored scratch report, not a baseline",
+    )
+
     if failures:
         for f in failures:
             print("selftest FAIL:", f)
         return 1
-    print("benchgate selftest ok (%d checks)" % 23)
+    print("benchgate selftest ok (%d checks)" % 25)
     return 0
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", type=pathlib.Path,
                         default=REPO_ROOT / "build")
@@ -475,8 +522,7 @@ def main(argv=None):
     parser.add_argument("--noise-rsd", type=float, default=0.15,
                         help="wall-clock RSD above which a bench is re-run")
     parser.add_argument("--max-extra-runs", type=int, default=2)
-    parser.add_argument("--out", type=pathlib.Path,
-                        default=REPO_ROOT / "BENCH_PR9.json")
+    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument("--baseline", type=pathlib.Path, default=None,
                         help="explicit baseline file (default: newest other "
                              "BENCH_*.json at the repo root)")
@@ -494,7 +540,11 @@ def main(argv=None):
                         help="print the trajectory across all committed "
                              "BENCH_*.json baselines and exit")
     parser.add_argument("--selftest", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
 
     if args.selftest:
         return selftest()
