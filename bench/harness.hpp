@@ -13,7 +13,7 @@
 // report tools/benchgate.py consumes:
 //
 //   {"bench":     <results registry>,      figures the table printed
-//    "process":   <global registry>,       pipeline work (dsp.fft.calls…)
+//    "process":   <global registry>,       pipeline work (counter.spikes…)
 //    "quantiles": {hist: {p50,p90,p99}},   span-latency percentiles
 //    "profile":   <prof::jsonText()>}      per-stage cycles/allocs
 //

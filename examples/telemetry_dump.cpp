@@ -1,14 +1,15 @@
 // Telemetry demo and self-check: run the reader firmware loop over a
 // small toll-plaza scene with every sink attached, then dump what an
 // operator would scrape — the Prometheus-style exposition text (global +
-// per-daemon registries), a span-tree profile of the measurement windows,
-// and a JSON-lines event log.
+// per-daemon registries), the profiler's folded call-path stacks of the
+// reader pipeline, and a JSON-lines event log.
 //
 // Usage: telemetry_dump [events.jsonl]
 //
 // Exits nonzero if the dump fails its own acceptance checks (every event
-// line must parse, and the exposition must span the dsp/counter/decoder/
-// daemon/net metric families).
+// line must parse, the exposition must span the counter/decoder/daemon/
+// net metric families, and a profiler build must have timed dsp.fft).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -21,7 +22,7 @@
 #include "net/backend.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/prof.hpp"
 #include "sim/scene.hpp"
 
 using namespace caraoke;
@@ -57,8 +58,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   obs::attachEventSink(&eventFile);
-  obs::SpanTreeSink spans;
-  obs::attachTraceSink(&spans);
 
   // A plaza lane: one gantry reader, four parked/tagged cars in range.
   Rng rng(21);
@@ -85,25 +84,25 @@ int main(int argc, char** argv) {
   }
   backend.fuse(30.0);
 
-  obs::attachTraceSink(nullptr);
   obs::attachEventSink(nullptr);
 
   std::printf("# ---- global registry (process-wide instrumentation) ----\n");
   std::printf("%s", obs::globalRegistry().expositionText().c_str());
   std::printf("\n# ---- daemon registry (per-instance) ----\n");
   std::printf("%s", daemon.registry().expositionText().c_str());
-  std::printf("\n# ---- span tree (per measurement window) ----\n");
-  std::printf("%s", spans.summary().c_str());
+  std::printf("\n# ---- profiler call paths (folded, self cycles) ----\n");
+  std::printf("%s", obs::prof::foldedText().c_str());
   std::printf("\n# wrote %zu events to %s\n", eventFile.linesWritten(),
               eventsPath.c_str());
 
   // ---- self-checks ---------------------------------------------------
   int failures = 0;
 
-  // (a) The combined exposition spans the five instrumented families.
+  // (a) The combined exposition spans the four instrumented families,
+  // and the profiler (when compiled in) timed the FFTs under them.
   std::set<std::string> names = metricNames(obs::globalRegistry().snapshot());
   names.merge(metricNames(daemon.registry().snapshot()));
-  const char* families[] = {"dsp.", "counter.", "decoder.", "daemon.", "net."};
+  const char* families[] = {"counter.", "decoder.", "daemon.", "net."};
   std::size_t covered = 0;
   for (const char* family : families) {
     bool present = false;
@@ -113,6 +112,15 @@ int main(int argc, char** argv) {
       ++covered;
     } else {
       std::fprintf(stderr, "FAIL: no metrics in family %s\n", family);
+      ++failures;
+    }
+  }
+  if (obs::prof::kCompiledIn) {
+    std::uint64_t fftCalls = 0;
+    for (const auto& stage : obs::prof::snapshot().stages)
+      if (stage.name == "dsp.fft") fftCalls = stage.calls;
+    if (fftCalls == 0) {
+      std::fprintf(stderr, "FAIL: the profiler recorded no dsp.fft calls\n");
       ++failures;
     }
   }
@@ -148,7 +156,7 @@ int main(int argc, char** argv) {
     std::printf("# validated %zu event lines (%zu bad)\n", lines, bad);
   }
 
-  std::printf("# %zu distinct metrics across %zu/5 families\n", names.size(),
+  std::printf("# %zu distinct metrics across %zu/4 families\n", names.size(),
               covered);
   return failures == 0 ? 0 : 1;
 }

@@ -18,8 +18,12 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(eng_);
+  // Scaling a standard normal is the expression libstdc++ evaluates for
+  // normal_distribution(mean, stddev), so streams stay bit-identical,
+  // and stddev 0 returns mean without breaking its stddev > 0
+  // precondition.
+  std::normal_distribution<double> d;
+  return d(eng_) * stddev + mean;
 }
 
 double Rng::truncatedGaussian(double mean, double stddev, double lo,

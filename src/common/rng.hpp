@@ -26,7 +26,8 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal sample scaled to the given mean / standard deviation.
+  /// Standard normal sample scaled to the given mean / standard deviation
+  /// (stddev >= 0; stddev 0 returns mean and still consumes a draw).
   double gaussian(double mean, double stddev);
 
   /// Gaussian truncated to [lo, hi] by rejection (falls back to clamping

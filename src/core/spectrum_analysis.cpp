@@ -57,28 +57,23 @@ dsp::cdouble SpectrumAnalyzer::channelAt(dsp::CSpan samples,
   return 2.0 * x / static_cast<double>(samples.size());
 }
 
-namespace {
-
-// Shared clock-image rejection over an arbitrary peak list.
-std::vector<dsp::Peak> rejectImages(std::vector<dsp::Peak> peaks,
-                                    const SpectrumAnalysisConfig& config) {
-  if (!config.rejectClockImages || peaks.size() < 2) return peaks;
+std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikes(
+    std::span<const double> mag) const {
+  std::vector<dsp::Peak> peaks = dsp::findPeaks(mag, config_.peaks);
+  if (!config_.rejectClockImages || peaks.size() < 2) return peaks;
   const double bitRateHz = 1.0 / phy::kBitDuration;
-  const double binWidth = config.sampling.sampleRateHz /
-                          static_cast<double>(config.sampling
-                                                  .responseSamples());
   const std::size_t offset1 =
-      static_cast<std::size_t>(bitRateHz / binWidth + 0.5);
+      static_cast<std::size_t>(bitRateHz / binMapper().binWidthHz() + 0.5);
   const std::size_t offsets[2] = {offset1, 2 * offset1};
   std::vector<dsp::Peak> kept;
   for (const dsp::Peak& p : peaks) {
     bool isImage = false;
     for (const dsp::Peak& parent : peaks) {
-      if (parent.magnitude <= p.magnitude / config.imageRatio) continue;
+      if (parent.magnitude <= p.magnitude / config_.imageRatio) continue;
       const std::size_t gap =
           p.bin > parent.bin ? p.bin - parent.bin : parent.bin - p.bin;
       for (std::size_t off : offsets) {
-        const std::size_t tol = config.imageToleranceBins;
+        const std::size_t tol = config_.imageToleranceBins;
         if (gap + tol >= off && gap <= off + tol) {
           isImage = true;
           break;
@@ -89,26 +84,6 @@ std::vector<dsp::Peak> rejectImages(std::vector<dsp::Peak> peaks,
     if (!isImage) kept.push_back(p);
   }
   return kept;
-}
-
-}  // namespace
-
-std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikes(
-    std::span<const double> mag) const {
-  return rejectImages(dsp::findPeaks(mag, config_.peaks), config_);
-}
-
-std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikesSparse(
-    dsp::CSpan samples, Rng& rng) const {
-  const auto components = dsp::sparseFft(samples, config_.sparse, rng);
-  const std::size_t searchEnd =
-      config_.peaks.searchEnd == 0 ? samples.size() : config_.peaks.searchEnd;
-  std::vector<dsp::Peak> peaks;
-  for (const auto& c : components) {
-    if (c.bin < config_.peaks.searchBegin || c.bin >= searchEnd) continue;
-    peaks.push_back({c.bin, std::abs(c.value)});
-  }
-  return rejectImages(std::move(peaks), config_);
 }
 
 std::vector<TransponderObservation> SpectrumAnalyzer::analyze(

@@ -9,9 +9,7 @@
 
 #include <vector>
 
-#include "common/rng.hpp"
 #include "dsp/peaks.hpp"
-#include "dsp/sfft.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/types.hpp"
 #include "dsp/window.hpp"
@@ -52,11 +50,6 @@ struct SpectrumAnalysisConfig {
   double imageRatio = 0.35;
   std::size_t imageToleranceBins = 4;
 
-  /// Sparse-FFT detection parameters (used by detectSpikesSparse only).
-  /// The bucket threshold doubles as the detection threshold, so weak
-  /// spikes need more buckets/rounds.
-  dsp::SparseFftConfig sparse{};
-
   SpectrumAnalysisConfig();
 
   /// Set the sampling parameters and point the peak search at their CFO
@@ -87,13 +80,6 @@ class SpectrumAnalyzer {
   /// Channel estimate for a known CFO (fractional bin) on one buffer:
   /// h = 2 * X(bin) / M. Used by the decoder, which tracks a target.
   dsp::cdouble channelAt(dsp::CSpan samples, double fractionalBin) const;
-
-  /// §10's low-power alternative: locate the CFO spikes with the sparse
-  /// FFT (sublinear in the buffer length) instead of a full FFT + CFAR
-  /// sweep. Returns the same Peak list detectSpikes() would, with clock
-  /// images rejected. The Rng drives the sFFT's random strides.
-  std::vector<dsp::Peak> detectSpikesSparse(dsp::CSpan samples,
-                                            Rng& rng) const;
 
   const SpectrumAnalysisConfig& config() const { return config_; }
 

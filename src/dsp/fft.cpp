@@ -4,30 +4,10 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/prof_stages.hpp"
 
 namespace caraoke::dsp {
-
-namespace {
-
-// Handles resolved once; per-transform cost is one relaxed fetch_add.
-obs::Counter& fftCallCounter() {
-  static obs::Counter& c = obs::globalRegistry().counter("dsp.fft.calls");
-  return c;
-}
-obs::Counter& ifftCallCounter() {
-  static obs::Counter& c = obs::globalRegistry().counter("dsp.ifft.calls");
-  return c;
-}
-obs::Counter& bluesteinCallCounter() {
-  static obs::Counter& c =
-      obs::globalRegistry().counter("dsp.fft.bluestein_calls");
-  return c;
-}
-
-}  // namespace
 
 bool isPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -114,33 +94,28 @@ CVec bluestein(CSpan input, bool invert) {
 
 void fftInPlace(CVec& data) {
   CARAOKE_PROF_SCOPE(obs::prof::stage::kFft);
-  fftCallCounter().inc();
   radix2(data, false);
 }
 
 CVec fft(CSpan input) {
   if (input.empty()) return {};
   CARAOKE_PROF_SCOPE(obs::prof::stage::kFft);
-  fftCallCounter().inc();
   if (isPowerOfTwo(input.size())) {
     CVec data(input.begin(), input.end());
     radix2(data, false);
     return data;
   }
-  bluesteinCallCounter().inc();
   return bluestein(input, false);
 }
 
 CVec ifft(CSpan input) {
   if (input.empty()) return {};
   CARAOKE_PROF_SCOPE(obs::prof::stage::kFft);
-  ifftCallCounter().inc();
   if (isPowerOfTwo(input.size())) {
     CVec data(input.begin(), input.end());
     radix2(data, true);
     return data;
   }
-  bluesteinCallCounter().inc();
   return bluestein(input, true);
 }
 

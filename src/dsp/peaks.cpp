@@ -65,10 +65,12 @@ std::vector<Peak> findPeaks(std::span<const double> mag,
 }
 
 double interpolatePeakOffset(std::span<const double> mag, std::size_t bin) {
-  if (bin == 0 || bin + 1 >= mag.size()) return 0.0;
-  const double a = mag[bin - 1];
+  const std::size_t n = mag.size();
+  if (n < 3 || bin >= n) return 0.0;
+  // Circular neighbors, as in findPeaks: bin 0's left is the last bin.
+  const double a = mag[bin == 0 ? n - 1 : bin - 1];
   const double b = mag[bin];
-  const double c = mag[bin + 1];
+  const double c = mag[bin + 1 == n ? 0 : bin + 1];
   const double denom = a - 2.0 * b + c;
   if (std::abs(denom) < 1e-12) return 0.0;
   const double offset = 0.5 * (a - c) / denom;

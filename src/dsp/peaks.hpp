@@ -50,7 +50,8 @@ std::vector<Peak> findPeaks(std::span<const double> magnitudeSpectrum,
 
 /// Quadratic (three-point) interpolation of the true peak position around
 /// a bin; returns the fractional bin offset in [-0.5, 0.5]. Sharpens CFO
-/// estimates beyond the 1.95 kHz bin resolution.
+/// estimates beyond the 1.95 kHz bin resolution. Neighbors wrap around
+/// the circular spectrum, so bin 0 interpolates against the last bin.
 double interpolatePeakOffset(std::span<const double> magnitudeSpectrum,
                              std::size_t bin);
 

@@ -44,24 +44,4 @@ CVec mix(CSpan signal, double freqHz, double sampleRateHz) {
   return out;
 }
 
-CVec fftShift(CSpan spectrum) {
-  const std::size_t n = spectrum.size();
-  CVec out(n);
-  const std::size_t half = (n + 1) / 2;
-  for (std::size_t i = 0; i < n; ++i) out[i] = spectrum[(i + half) % n];
-  return out;
-}
-
-double snrDb(CSpan reference, CSpan noisy) {
-  if (reference.size() != noisy.size())
-    throw std::invalid_argument("snrDb: length mismatch");
-  double sig = 0.0, err = 0.0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    sig += std::norm(reference[i]);
-    err += std::norm(noisy[i] - reference[i]);
-  }
-  if (err <= 0.0) return 300.0;  // effectively infinite
-  return toDb(sig / err);
-}
-
 }  // namespace caraoke::dsp

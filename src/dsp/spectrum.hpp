@@ -41,11 +41,4 @@ class BinMapper {
 /// negative f to down-convert). t = sampleIndex / fs.
 CVec mix(CSpan signal, double freqHz, double sampleRateHz);
 
-/// Circularly rotate a spectrum so bin 0 is centered (like fftshift).
-CVec fftShift(CSpan spectrum);
-
-/// Signal-to-noise ratio in dB between a clean reference and a noisy
-/// version of it (power of reference over power of difference).
-double snrDb(CSpan reference, CSpan noisy);
-
 }  // namespace caraoke::dsp

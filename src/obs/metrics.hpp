@@ -5,7 +5,7 @@
 // decode attempts passed CRC?") starts from a counter someone remembered
 // to bump. This module provides the three classic metric kinds —
 // monotonic counters, settable gauges, and fixed-bucket histograms — with
-// hierarchical dot names (`reader.decode.crc_pass`, `dsp.fft.calls`),
+// hierarchical dot names (`decoder.crc_pass`, `counter.spikes`),
 // collected in a Registry that supports atomic snapshot + reset,
 // Prometheus-style text exposition and JSON serialization.
 //

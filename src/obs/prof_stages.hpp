@@ -33,6 +33,7 @@ inline constexpr char kManchester[] = "phy.manchester";
 // core: composite pipeline entry points.
 inline constexpr char kAnalyze[] = "core.analyze";
 inline constexpr char kCount[] = "core.count";
+inline constexpr char kMultiCount[] = "core.multi_count";
 inline constexpr char kDecode[] = "core.decode";
 inline constexpr char kCoherentSum[] = "core.coherent_sum";
 inline constexpr char kChase[] = "core.chase";

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
-#include <thread>
+
+#include "common/thread_annotations.hpp"
 
 namespace caraoke::obs {
 
@@ -14,11 +14,6 @@ std::atomic<TraceSink*> g_traceSink CARAOKE_LOCKFREE{nullptr};
 
 thread_local int t_spanDepth = 0;
 thread_local TraceContext t_traceContext{};
-
-unsigned long long threadToken() {
-  return static_cast<unsigned long long>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
 
 }  // namespace
 
@@ -104,72 +99,6 @@ ObsSpan::~ObsSpan() {
     record.spanId = t_traceContext.spanId;
     sink->onSpanEnd(record);
   }
-}
-
-SpanTreeSink::Node* SpanTreeSink::findOrAdd(std::vector<Node>& level,
-                                            const std::string& name) const {
-  for (Node& node : level)
-    if (node.name == name) return &node;
-  level.push_back(Node{name, 0, 0.0, {}});
-  return &level.back();
-}
-
-void SpanTreeSink::onSpanBegin(const char* name, int /*depth*/,
-                               double /*startSec*/) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  openPaths_[threadToken()].push_back(name);
-}
-
-void SpanTreeSink::onSpanEnd(const SpanRecord& span) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& path = openPaths_[threadToken()];
-  // Walk the tree along the open path, creating aggregate nodes as
-  // needed, and account the finished span at the leaf.
-  std::vector<Node>* level = &roots_;
-  Node* node = nullptr;
-  for (const std::string& name : path) {
-    node = findOrAdd(*level, name);
-    level = &node->children;
-  }
-  if (node != nullptr && !path.empty() && path.back() == span.name) {
-    ++node->calls;
-    node->totalSec += span.endSec - span.startSec;
-    path.pop_back();
-  }
-}
-
-std::vector<SpanTreeSink::Node> SpanTreeSink::roots() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return roots_;
-}
-
-namespace {
-
-void renderNode(std::ostringstream& os, const SpanTreeSink::Node& node,
-                int indent) {
-  os << std::string(static_cast<std::size_t>(indent) * 2, ' ') << node.name;
-  const int pad = 44 - indent * 2 - static_cast<int>(node.name.size());
-  os << std::string(pad > 1 ? static_cast<std::size_t>(pad) : 1, ' ');
-  os << node.calls << " calls  ";
-  os.precision(3);
-  os << std::fixed << node.totalSec * 1e3 << " ms\n";
-  os.unsetf(std::ios::fixed);
-  for (const auto& child : node.children) renderNode(os, child, indent + 1);
-}
-
-}  // namespace
-
-std::string SpanTreeSink::summary() const {
-  const std::vector<Node> tree = roots();
-  std::ostringstream os;
-  for (const Node& root : tree) renderNode(os, root, 0);
-  return os.str();
-}
-
-void SpanTreeSink::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  roots_.clear();
-  openPaths_.clear();
 }
 
 }  // namespace caraoke::obs

@@ -1,26 +1,24 @@
-// Per-stage pipeline tracing: RAII scoped timers that feed duration
-// histograms, plus an optional span sink that sees begin/end pairs so a
-// whole pipeline pass (e.g. one ReaderDaemon measurement window) can be
-// reconstructed as a span tree.
+// Request-level tracing: RAII scoped timers that feed duration
+// histograms, plus an optional sink that sees each span's begin/end so a
+// whole request (e.g. one ReaderDaemon measurement window) can be
+// followed across threads and processes by its traceId.
 //
 //   {
-//     obs::ObsSpan span("counter.phase_test");
+//     obs::ObsSpan span("daemon.count", histogram);
 //     ... work ...
-//   }  // duration recorded into histogram "counter.phase_test"
+//   }  // duration recorded into the histogram
 //
-// Nesting is tracked per thread; a sink receives the depth with each
-// begin/end, which is all SpanTreeSink needs to rebuild the call tree.
-// With no sink attached a span costs two steady_clock reads and one
-// histogram observe.
+// Spans time work in apps/ and net/ only. The reader's hot path in
+// dsp/, phy/ and core/ is timed by CARAOKE_PROF_SCOPE (obs/prof.hpp)
+// alone; the `wallclock` lint rule keeps spans out of those layers.
+// Nesting is tracked per thread and a sink receives the depth with each
+// begin/end. With no sink attached a span costs two steady_clock reads
+// and one histogram observe.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 
 namespace caraoke::obs {
@@ -106,44 +104,6 @@ class ObsSpan {
   Histogram* histogram_;
   double startSec_ = 0.0;
   int depth_ = 0;
-};
-
-/// Trace sink that aggregates spans into a tree keyed by call path
-/// ("daemon.window" -> "daemon.window/counter.count" -> ...), with call
-/// counts and total time per node. summary() renders it indented:
-///
-///   daemon.window                 30 calls   120.4 ms
-///     counter.count               30 calls    80.1 ms
-///     decoder.add_collision       64 calls    22.0 ms
-class SpanTreeSink : public TraceSink {
- public:
-  void onSpanBegin(const char* name, int depth, double startSec) override;
-  void onSpanEnd(const SpanRecord& span) override;
-
-  struct Node {
-    std::string name;
-    std::size_t calls = 0;
-    double totalSec = 0.0;
-    std::vector<Node> children;
-  };
-
-  /// Aggregated roots (one per distinct top-level span name).
-  std::vector<Node> roots() const;
-  /// Human-readable indented rendering of the tree.
-  std::string summary() const;
-  void clear();
-
- private:
-  /// Walks/extends a level of the tree rooted at roots_; the caller
-  /// already holds mutex_.
-  Node* findOrAdd(std::vector<Node>& level, const std::string& name) const
-      CARAOKE_REQUIRES(mutex_);
-
-  mutable std::mutex mutex_;
-  std::vector<Node> roots_ CARAOKE_GUARDED_BY(mutex_);
-  // Per-thread open-span path; keyed by an opaque thread token.
-  std::map<unsigned long long, std::vector<std::string>> openPaths_
-      CARAOKE_GUARDED_BY(mutex_);
 };
 
 }  // namespace caraoke::obs

@@ -24,11 +24,4 @@ double CfoDriftModel::step(double carrierHz, Rng& rng) const {
   return std::clamp(next, kCarrierMinHz, kCarrierMaxHz);
 }
 
-std::vector<double> drawCarrierPopulation(const CfoModel& model,
-                                          std::size_t count, Rng& rng) {
-  std::vector<double> population(count);
-  for (auto& c : population) c = model.drawCarrierHz(rng);
-  return population;
-}
-
 }  // namespace caraoke::phy

@@ -58,9 +58,4 @@ struct CfoDriftModel {
   double step(double carrierHz, Rng& rng) const;
 };
 
-/// A fixed population of carrier frequencies (the simulator's analogue of
-/// the paper's 155-transponder capture).
-std::vector<double> drawCarrierPopulation(const CfoModel& model,
-                                          std::size_t count, Rng& rng);
-
 }  // namespace caraoke::phy

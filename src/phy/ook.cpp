@@ -1,6 +1,7 @@
 #include "phy/ook.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -9,6 +10,9 @@
 
 namespace caraoke::phy {
 
+namespace {
+
+// Rectangular-pulse baseband s(t) in {0,1} from Manchester chips.
 std::vector<double> chipsToBaseband(std::span<const std::uint8_t> chips,
                                     std::size_t samplesPerChip) {
   std::vector<double> s(chips.size() * samplesPerChip);
@@ -19,6 +23,8 @@ std::vector<double> chipsToBaseband(std::span<const std::uint8_t> chips,
   }
   return s;
 }
+
+}  // namespace
 
 dsp::CVec modulateResponse(const BitVec& packetBits,
                            const SamplingParams& params, double cfoHz,

@@ -8,18 +8,12 @@
 // residual interference.
 #pragma once
 
-#include <span>
-
 #include "dsp/types.hpp"
 #include "phy/manchester.hpp"
 #include "phy/packet.hpp"
 #include "phy/protocol.hpp"
 
 namespace caraoke::phy {
-
-/// Rectangular-pulse baseband s(t) in {0,1} from Manchester chips.
-std::vector<double> chipsToBaseband(std::span<const std::uint8_t> chips,
-                                    std::size_t samplesPerChip);
 
 /// Full transponder response waveform at complex baseband relative to the
 /// reader LO: Manchester-encode the packet bits, shape to samples, apply

@@ -1,28 +1,11 @@
 #include "phy/sync.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
-#include "dsp/stats.hpp"
 #include "phy/manchester.hpp"
 #include "phy/ook.hpp"
 
 namespace caraoke::phy {
-
-std::optional<std::size_t> detectEnergyEdge(dsp::CSpan samples,
-                                            std::size_t noiseWindow,
-                                            double thresholdFactor) {
-  if (samples.size() <= noiseWindow) return std::nullopt;
-  std::vector<double> lead(noiseWindow);
-  for (std::size_t i = 0; i < noiseWindow; ++i)
-    lead[i] = std::abs(samples[i]);
-  const double floor = std::max(dsp::median(std::span(lead)), 1e-12);
-  const double threshold = thresholdFactor * floor;
-  for (std::size_t i = noiseWindow; i < samples.size(); ++i)
-    if (std::abs(samples[i]) > threshold) return i;
-  return std::nullopt;
-}
 
 std::size_t syncWordScore(dsp::CSpan waveform, std::size_t sampleOffset,
                           const SamplingParams& params) {

@@ -5,14 +5,10 @@
 // tags have turn-around jitter of a few samples; these utilities recover
 // the response start so the demodulator's bit boundaries line up.
 //
-// Two mechanisms:
-//  - energy edge detection: the response begins where the envelope first
-//    rises above a noise-derived threshold (works per collision, all
-//    colliders share the trigger instant up to their individual jitter);
-//  - sync-word search: the packet starts with a known 16-bit sync word;
-//    trying a handful of sample offsets and scoring the demodulated sync
-//    bits pins the exact offset (works on the decoder's combined
-//    waveform, where only the target survives).
+// The packet starts with a known 16-bit sync word; trying a handful of
+// sample offsets and scoring the demodulated sync bits pins the exact
+// offset. This works on the decoder's combined waveform, where only the
+// target survives.
 #pragma once
 
 #include <cstddef>
@@ -23,13 +19,6 @@
 #include "phy/protocol.hpp"
 
 namespace caraoke::phy {
-
-/// First sample index where the magnitude envelope exceeds
-/// `thresholdFactor` times the median magnitude of the leading
-/// `noiseWindow` samples (assumed signal-free). nullopt when no edge.
-std::optional<std::size_t> detectEnergyEdge(dsp::CSpan samples,
-                                            std::size_t noiseWindow = 64,
-                                            double thresholdFactor = 6.0);
 
 /// Score how well the demodulated bits starting at `sampleOffset` match
 /// the sync word: returns the number of matching sync bits (0..16).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -52,6 +53,21 @@ TEST(Rng, GaussianMoments) {
   const double mean = sum / n;
   EXPECT_NEAR(mean, 3.0, 0.05);
   EXPECT_NEAR(std::sqrt(sumSq / n - mean * mean), 2.0, 0.05);
+}
+
+TEST(Rng, GaussianWithZeroStddevReturnsTheMeanAndKeepsTheStream) {
+  Rng flat(4), unit(4);
+  EXPECT_EQ(flat.gaussian(5.0, 0.0), 5.0);
+  unit.gaussian(5.0, 1.0);
+  EXPECT_EQ(flat.gaussian(0.0, 1.0), unit.gaussian(0.0, 1.0));
+
+  // With stddev > 0 the stream is the one normal_distribution gives.
+  Rng rng(5);
+  std::mt19937_64 engine(5);
+  for (int i = 0; i < 100; ++i) {
+    std::normal_distribution<double> reference(3.0, 2.0);
+    EXPECT_EQ(rng.gaussian(3.0, 2.0), reference(engine)) << i;
+  }
 }
 
 TEST(Rng, TruncatedGaussianRespectsBounds) {

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/log.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "trace_helpers.hpp"
 
 namespace caraoke {
 namespace {
@@ -262,36 +265,36 @@ TEST(ObsTrace, SpanRecordsDurationIntoHistogram) {
 }
 
 TEST(ObsTrace, SpanNestingUnderTraceSink) {
-  obs::SpanTreeSink sink;
-  obs::attachTraceSink(&sink);
+  testhelpers::RecordingTraceSink sink;
   obs::Registry registry;
-  for (int window = 0; window < 3; ++window) {
-    obs::ObsSpan outer("window", registry.histogram("window.seconds"));
-    {
-      obs::ObsSpan inner("count", registry.histogram("count.seconds"));
-    }
-    {
-      obs::ObsSpan inner("decode", registry.histogram("decode.seconds"));
-      obs::ObsSpan nested("combine", registry.histogram("combine.seconds"));
+  {
+    testhelpers::ScopedTraceSink attached(&sink);
+    for (int window = 0; window < 3; ++window) {
+      obs::ObsSpan outer("window", registry.histogram("window.seconds"));
+      {
+        obs::ObsSpan inner("count", registry.histogram("count.seconds"));
+      }
+      {
+        obs::ObsSpan inner("decode", registry.histogram("decode.seconds"));
+        obs::ObsSpan nested("combine", registry.histogram("combine.seconds"));
+      }
     }
   }
-  obs::attachTraceSink(nullptr);
 
-  const auto roots = sink.roots();
-  ASSERT_EQ(roots.size(), 1u);
-  EXPECT_EQ(roots[0].name, "window");
-  EXPECT_EQ(roots[0].calls, 3u);
-  ASSERT_EQ(roots[0].children.size(), 2u);
-  EXPECT_EQ(roots[0].children[0].name, "count");
-  EXPECT_EQ(roots[0].children[0].calls, 3u);
-  EXPECT_EQ(roots[0].children[1].name, "decode");
-  ASSERT_EQ(roots[0].children[1].children.size(), 1u);
-  EXPECT_EQ(roots[0].children[1].children[0].name, "combine");
-  EXPECT_EQ(roots[0].children[1].children[0].calls, 3u);
-
-  const std::string summary = sink.summary();
-  EXPECT_NE(summary.find("window"), std::string::npos);
-  EXPECT_NE(summary.find("3 calls"), std::string::npos);
+  // The sink sees each begin and end in call order, at its nesting depth.
+  const std::vector<std::string> perWindow{
+      "+window@0",  "+count@1",   "-count@1",  "+decode@1",
+      "+combine@2", "-combine@2", "-decode@1", "-window@0"};
+  std::vector<std::string> expected;
+  for (int window = 0; window < 3; ++window)
+    expected.insert(expected.end(), perWindow.begin(), perWindow.end());
+  std::vector<std::string> seen;
+  for (const auto& event : sink.events())
+    seen.push_back(testhelpers::describe(event));
+  EXPECT_EQ(seen, expected);
+  for (const char* name : {"window.seconds", "count.seconds",
+                           "decode.seconds", "combine.seconds"})
+    EXPECT_EQ(registry.histogram(name).count(), 3u) << name;
 }
 
 TEST(ObsEvents, JsonLineRoundTrip) {

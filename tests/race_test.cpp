@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,6 +36,7 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "trace_helpers.hpp"
 
 namespace caraoke {
 namespace {
@@ -128,40 +130,42 @@ TEST(Race, MetricsExpositionDuringMutation) {
 }
 
 // ------------------------------------------------------------- tracing --
-// Static coverage: obs/trace.hpp — SpanTreeSink::{roots_, openPaths_}
-// CARAOKE_GUARDED_BY(mutex_), findOrAdd CARAOKE_REQUIRES(mutex_);
-// obs/trace.cpp g_traceSink is a CARAOKE_LOCKFREE atomic pointer.
+// Static coverage: obs/trace.cpp — g_traceSink is a CARAOKE_LOCKFREE
+// atomic pointer and the span depth is thread_local.
 
 TEST(Race, SpanTracingConcurrentNesting) {
-  // Nested RAII spans on every thread, all feeding one SpanTreeSink and
-  // one registry. Per-thread nesting depth is thread_local; the sink's
-  // aggregate tree is mutex-guarded — the call counts must add up.
+  // Nested RAII spans on every thread, all feeding one recording sink
+  // and one registry. Nesting depth is per thread, so each thread's own
+  // begin/end sequence must nest cleanly however the threads interleave.
   obs::Registry registry;
-  obs::SpanTreeSink sink;
-  obs::attachTraceSink(&sink);
+  testhelpers::RecordingTraceSink sink;
   constexpr std::size_t kIters = 300;
-  runThreads(kThreads, [&registry](std::size_t) {
-    for (std::size_t i = 0; i < kIters; ++i) {
-      obs::ObsSpan outer("race.span.outer", &registry);
-      {
-        obs::ObsSpan inner("race.span.inner", &registry);
+  {
+    testhelpers::ScopedTraceSink attached(&sink);
+    runThreads(kThreads, [&registry](std::size_t) {
+      for (std::size_t i = 0; i < kIters; ++i) {
+        obs::ObsSpan outer("race.span.outer", &registry);
+        {
+          obs::ObsSpan inner("race.span.inner", &registry);
+        }
       }
-    }
-  });
-  obs::attachTraceSink(nullptr);
+    });
+  }
 
   EXPECT_EQ(registry.histogram("race.span.outer").count(), kThreads * kIters);
   EXPECT_EQ(registry.histogram("race.span.inner").count(), kThreads * kIters);
-  std::size_t outerCalls = 0;
-  std::size_t innerCalls = 0;
-  for (const auto& root : sink.roots()) {
-    if (root.name != "race.span.outer") continue;
-    outerCalls += root.calls;
-    for (const auto& child : root.children)
-      if (child.name == "race.span.inner") innerCalls += child.calls;
+  std::map<std::thread::id, std::vector<std::string>> perThread;
+  for (const auto& event : sink.events())
+    perThread[event.thread].push_back(testhelpers::describe(event));
+  const std::vector<std::string> once{
+      "+race.span.outer@0", "+race.span.inner@1", "-race.span.inner@1",
+      "-race.span.outer@0"};
+  ASSERT_EQ(perThread.size(), kThreads);
+  for (const auto& [thread, sequence] : perThread) {
+    ASSERT_EQ(sequence.size(), once.size() * kIters);
+    for (std::size_t i = 0; i < sequence.size(); ++i)
+      ASSERT_EQ(sequence[i], once[i % once.size()]) << i;
   }
-  EXPECT_EQ(outerCalls, kThreads * kIters);
-  EXPECT_EQ(innerCalls, kThreads * kIters);
 }
 
 // -------------------------------------------------------------- logger --

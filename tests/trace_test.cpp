@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,41 +28,14 @@
 #include "scenes_helpers.hpp"
 #include "sim/mobility.hpp"
 #include "sim/scene.hpp"
+#include "trace_helpers.hpp"
 
 using namespace caraoke;
 
 namespace {
 
-/// Captures every finished span (any thread) for post-run assertions.
-class RecordingTraceSink : public obs::TraceSink {
- public:
-  void onSpanBegin(const char*, int, double) override {}
-  void onSpanEnd(const obs::SpanRecord& span) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    spans_.push_back(span);
-  }
-  std::vector<obs::SpanRecord> spans() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return spans_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<obs::SpanRecord> spans_;
-};
-
-/// RAII attach/detach for the process trace sink.
-class ScopedTraceSink {
- public:
-  explicit ScopedTraceSink(obs::TraceSink* sink)
-      : previous_(obs::traceSink()) {
-    obs::attachTraceSink(sink);
-  }
-  ~ScopedTraceSink() { obs::attachTraceSink(previous_); }
-
- private:
-  obs::TraceSink* previous_;
-};
+using testhelpers::RecordingTraceSink;
+using testhelpers::ScopedTraceSink;
 
 net::SightingReport makeSighting(std::uint64_t traceId,
                                  std::uint64_t spanId) {

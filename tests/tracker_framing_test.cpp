@@ -85,21 +85,6 @@ TEST(Tracker, FollowsCfoDrift) {
   EXPECT_NEAR(tracker.tracks().front().cfoHz, cfo, 500.0);
 }
 
-TEST(Sync, EnergyEdgeFindsResponseStart) {
-  Rng rng(1);
-  dsp::CVec buffer(1024, dsp::cdouble{});
-  phy::addAwgn(buffer, 1e-4, rng);
-  for (std::size_t t = 300; t < 1024; ++t)
-    buffer[t] += dsp::cdouble(0.01, 0.0);
-  const auto edge = phy::detectEnergyEdge(buffer);
-  ASSERT_TRUE(edge.has_value());
-  EXPECT_NEAR(static_cast<double>(*edge), 300.0, 2.0);
-
-  dsp::CVec silent(1024, dsp::cdouble{});
-  phy::addAwgn(silent, 1e-4, rng);
-  EXPECT_FALSE(phy::detectEnergyEdge(silent).has_value());
-}
-
 TEST(Sync, SyncOffsetSearchRecoversShift) {
   Rng rng(2);
   const phy::SamplingParams params;

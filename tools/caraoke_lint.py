@@ -9,7 +9,9 @@ This linter enforces the ones the architecture depends on:
                anywhere else in src/ breaks seeded replay.
   wallclock    No clock reads in src/{dsp,phy,sim,core}: simulation and
                signal-processing code runs on caller-provided simulated
-               time only, so a run is a pure function of its seed.
+               time only, so a run is a pure function of its seed. That
+               includes obs::ObsSpan and obs::monotonicSeconds; hot-path
+               stages are timed by CARAOKE_PROF_SCOPE alone.
   wiremagic    Every wire-format magic constant is unique (a collision
                would make frame types indistinguishable on the wire),
                and every file that encodes a magic-framed message also
@@ -153,6 +155,10 @@ WALLCLOCK_RE = re.compile(
     r"|\bgettimeofday\b|\bclock_gettime\b|\blocaltime\b|\bgmtime\b"
     r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)\s*\)|\bclock\s*\(\s*\)")
 
+# obs::ObsSpan and obs::monotonicSeconds read steady_clock too; spans
+# time request-level work in apps/ and net/ only.
+OBS_CLOCK_RE = re.compile(r"\b(?:ObsSpan|monotonicSeconds)\b")
+
 DETERMINISTIC_DIRS = ("src/dsp/", "src/phy/", "src/sim/", "src/core/")
 
 
@@ -162,14 +168,18 @@ def check_wallclock(files, rel, findings):
         rp = rel(path)
         if not rp.startswith(DETERMINISTIC_DIRS):
             continue
-        if not WALLCLOCK_RE.search(strip_line_comment(line)):
+        code = strip_line_comment(line)
+        if WALLCLOCK_RE.search(code):
+            message = ("clock read in deterministic code — time must be "
+                       "caller-provided simulated seconds")
+        elif OBS_CLOCK_RE.search(code):
+            message = ("obs span/clock in deterministic code — time a "
+                       "hot-path stage with CARAOKE_PROF_SCOPE instead")
+        else:
             continue
         if allowed(line, "wallclock", findings, rp, lineno):
             continue
-        findings.append(Finding(
-            "wallclock", rp, lineno,
-            "clock read in deterministic code — time must be "
-            "caller-provided simulated seconds"))
+        findings.append(Finding("wallclock", rp, lineno, message))
 
 
 MAGIC_DEF_RE = re.compile(
@@ -372,8 +382,8 @@ def check_metricnames(files, rel, findings):
 PROFSTAGE_BASELINE = {
     "dsp.window", "dsp.fft", "dsp.peak", "dsp.spectrum", "dsp.goertzel",
     "phy.cfo", "phy.demod", "phy.manchester",
-    "core.analyze", "core.count", "core.decode", "core.coherent_sum",
-    "core.chase", "core.timing_search",
+    "core.analyze", "core.count", "core.multi_count", "core.decode",
+    "core.coherent_sum", "core.chase", "core.timing_search",
 }
 
 PROFSTAGE_REGISTRY = "src/obs/prof_stages.hpp"
@@ -594,6 +604,12 @@ SELFTEST_CASES = [
     ("wallclock", "src/obs/trace.cpp",
      "auto t = std::chrono::steady_clock::now();", False),
     ("wallclock", "src/sim/foo.cpp", "double timeOfArrival = 3.0;", False),
+    ("wallclock", "src/core/foo.cpp",
+     'obs::ObsSpan span("counter.single_shot", histogram);', True),
+    ("wallclock", "src/dsp/foo.cpp",
+     "const double t0 = obs::monotonicSeconds();", True),
+    ("wallclock", "src/apps/foo.cpp",
+     'obs::ObsSpan span("daemon.count", histogram);', False),
     ("metricnames", "src/core/foo.cpp",
      'registry.counter("BadName");', True),
     ("metricnames", "src/core/foo.cpp",
